@@ -129,7 +129,10 @@ class NaiveGnnModel(AllocatorModel):
         )
         self.policy = ActionHead(pathset.max_paths, self.hyper.action_log_std)
         self._src = np.array([s for s, _ in pathset.pairs])
-        self._dst = np.array([t for _, t in pathset.pairs])
+        # Endpoint gathers, built once: sites repeat across demands, so
+        # their backward is a constant scatter matrix (F.GatherPlan).
+        self._src_plan = F.GatherPlan(self._src, topo.num_nodes)
+        self._dst_plan = F.GatherPlan([t for _, t in pathset.pairs], topo.num_nodes)
 
     def logits(self, demands: np.ndarray, capacities: np.ndarray) -> Tensor:
         topo = self.pathset.topology
@@ -149,7 +152,7 @@ class NaiveGnnModel(AllocatorModel):
             agg = F.sparse_matmul(self.adjacency, h) * Tensor(self.degree_scale)
             h = F.tanh(layer(F.concat([h, agg])))
         pair_features = F.concat(
-            [F.take_rows(h, self._src), F.take_rows(h, self._dst)]
+            [F.take_rows(h, self._src_plan), F.take_rows(h, self._dst_plan)]
         )
         return self.head(pair_features)
 

@@ -59,7 +59,7 @@ def model_path_flows(
     demand_grid = demands[:, None] * ps.path_mask  # (D, k) volumes
     flows_grid = ratios * Tensor(demand_grid)
     flat = flows_grid.reshape(ps.num_demands * ps.max_paths, 1)
-    return F.take_rows(flat, model.scatter_index).reshape(ps.num_paths)
+    return F.take_rows(flat, model.scatter_plan).reshape(ps.num_paths)
 
 
 def model_path_flows_batch(
@@ -68,7 +68,7 @@ def model_path_flows_batch(
     """Differentiable (T, P) intended path flows for a minibatch.
 
     One ``forward_batch`` pass produces the whole stack; the gather to
-    per-path layout is shared across the batch (``take_rows`` scatters
+    per-path layout is shared across the batch (its gather plan scatters
     gradients per batch element).
 
     Args:
@@ -82,9 +82,25 @@ def model_path_flows_batch(
     flows_grid = ratios * Tensor(demand_grid)
     num_matrices = demands.shape[0]
     flat = flows_grid.reshape(num_matrices, ps.num_demands * ps.max_paths, 1)
-    return F.take_rows(flat, model.scatter_index).reshape(
+    return F.take_rows(flat, model.scatter_plan).reshape(
         num_matrices, ps.num_paths
     )
+
+
+def edge_loads(model: AllocatorModel, path_flows: Tensor) -> Tensor:
+    """Differentiable (..., E) link loads of (..., P) path flows.
+
+    The backward multiplies by the incidence transpose the model built
+    once, not one rebuilt every step.
+    """
+    ps = model.pathset
+    lead = path_flows.shape[:-1]
+    loads = F.sparse_matmul(
+        ps.edge_path_incidence,
+        path_flows.reshape(lead + (ps.num_paths, 1)),
+        transposed=model.incidence_t,
+    )
+    return loads.reshape(lead + (ps.topology.num_edges,))
 
 
 def surrogate_loss_batch(
@@ -110,13 +126,9 @@ def surrogate_loss_batch(
     Returns:
         Scalar loss tensor (lower is better).
     """
-    ps = model.pathset
-    num_matrices = demands.shape[0]
     path_flows = model_path_flows_batch(model, demands, capacities)
     value = (path_flows * Tensor(path_values)).sum(axis=-1)  # (T,)
-    loads = F.sparse_matmul(
-        ps.edge_path_incidence, path_flows.reshape(num_matrices, ps.num_paths, 1)
-    ).reshape(num_matrices, ps.topology.num_edges)
+    loads = edge_loads(model, path_flows)
     overuse = F.relu(loads - Tensor(capacities)).sum(axis=-1)  # (T,)
     scale = np.maximum(demands.sum(axis=-1), 1e-9)
     return ((overuse * overuse_weight - value) * Tensor(1.0 / scale)).mean()
@@ -141,12 +153,9 @@ def surrogate_loss(
     Returns:
         Scalar loss tensor (lower is better).
     """
-    ps = model.pathset
     path_flows = model_path_flows(model, demands, capacities)
     value = (path_flows * Tensor(path_values)).sum()
-    loads = F.sparse_matmul(
-        ps.edge_path_incidence, path_flows.reshape(ps.num_paths, 1)
-    ).reshape(ps.topology.num_edges)
+    loads = edge_loads(model, path_flows)
     overuse = F.relu(loads - Tensor(capacities)).sum()
     scale = max(float(demands.sum()), 1e-9)
     return (overuse * overuse_weight - value) / scale
@@ -169,12 +178,8 @@ def mlu_surrogate_loss_batch(
         capacities: (T, E) link capacities.
         p: Norm order of the max smoothing.
     """
-    ps = model.pathset
-    num_matrices = demands.shape[0]
     path_flows = model_path_flows_batch(model, demands, capacities)
-    loads = F.sparse_matmul(
-        ps.edge_path_incidence, path_flows.reshape(num_matrices, ps.num_paths, 1)
-    ).reshape(num_matrices, ps.topology.num_edges)
+    loads = edge_loads(model, path_flows)
     inverse_caps = np.where(
         capacities > 0, 1.0 / np.maximum(capacities, 1e-12), 0.0
     )
@@ -195,11 +200,8 @@ def mlu_surrogate_loss(
     The norm is computed in the factored ``max * ((u/max)^p sum)^(1/p)``
     form, which cannot overflow however overloaded the links are.
     """
-    ps = model.pathset
     path_flows = model_path_flows(model, demands, capacities)
-    loads = F.sparse_matmul(
-        ps.edge_path_incidence, path_flows.reshape(ps.num_paths, 1)
-    ).reshape(ps.topology.num_edges)
+    loads = edge_loads(model, path_flows)
     inverse_caps = np.where(capacities > 0, 1.0 / np.maximum(capacities, 1e-12), 0.0)
     utilization = loads * Tensor(inverse_caps)
     return F.p_norm(utilization, p, axis=-1)

@@ -43,6 +43,19 @@ from .batching import (
 )
 
 
+def grid_scatter_index(pathset: PathSet) -> np.ndarray:
+    """(P,) flat position of each path inside the (D, k) ratio grid.
+
+    Shared by the models and the direct-loss trainer to move values
+    between per-path and per-demand-grid layouts.
+    """
+    flat_ids = pathset.demand_path_ids.reshape(-1)
+    positions = np.flatnonzero(flat_ids >= 0)
+    scatter = np.empty(pathset.num_paths, dtype=int)
+    scatter[flat_ids[positions]] = positions
+    return scatter
+
+
 class FlowGNNLayer(Module):
     """One bipartite message-passing round (GNN layer of Figure 4).
 
@@ -123,34 +136,35 @@ class DemandDNNLayer(Module):
     def forward(
         self,
         path_emb: Tensor,
-        gather_index: np.ndarray,
-        scatter_index: np.ndarray,
+        gather_plan: F.GatherPlan,
+        scatter_plan: F.GatherPlan,
     ) -> Tensor:
         """Update PathNode embeddings demand-by-demand.
 
         Padding slots gather zeros on the way in (-1 indices); on the way
-        out no masking is needed because ``scatter_index`` only reads the
+        out no masking is needed because the scatter plan only reads the
         grid positions of real paths — padding positions never reach the
         result or the gradient.
 
         Args:
             path_emb: (P, dim) PathNode embeddings, optionally with
                 leading batch axes (..., P, dim).
-            gather_index: (D, k) path ids with -1 marking padding slots.
-            scatter_index: (P,) flat position of each real path inside the
-                (D, k) grid.
+            gather_plan: Plan of the (D, k) path-id grid, -1 marking
+                padding slots.
+            scatter_plan: Plan of the (P,) flat position of each real
+                path inside the (D, k) grid.
 
         Returns:
             Updated (..., P, dim) PathNode embeddings.
         """
         lead = path_emb.shape[:-2]
-        num_demands = gather_index.shape[0]
-        grouped = F.take_rows_padded(path_emb, gather_index)  # (..., D, k, dim)
+        num_demands = gather_plan.shape[0]
+        grouped = F.take_rows_padded(path_emb, gather_plan)  # (..., D, k, dim)
         flat = grouped.reshape(lead + (num_demands, self.num_paths * self.dim))
         updated = F.tanh(self.transform(flat))
         # Scatter the grid back to per-path rows.
         grid = updated.reshape(lead + (num_demands * self.num_paths, self.dim))
-        return F.take_rows(grid, scatter_index)
+        return F.take_rows(grid, scatter_plan)
 
 
 class FlowGNN(Module):
@@ -202,19 +216,17 @@ class FlowGNN(Module):
         self.edge_agg_t = self.edge_agg.T.tocsr()
         self.path_agg_t = self.path_agg.T.tocsr()
 
-        # Gather/scatter indices for the per-demand DNN layers; -1 marks
-        # padding slots (they gather zeros, see take_rows_padded).
-        self.gather_index = pathset.demand_path_ids
-        positions = np.flatnonzero(pathset.demand_path_ids.reshape(-1) >= 0)
-        order = pathset.demand_path_ids.reshape(-1)[positions]
-        scatter = np.empty(pathset.num_paths, dtype=int)
-        scatter[order] = positions
-        self.scatter_index = scatter
-        # Flat gather index with -1s clamped to 0, plus the flat padding
-        # positions — the static inputs of the fused padded gather.
-        flat_gather = self.gather_index.reshape(-1)
-        self.safe_gather_index = np.where(flat_gather < 0, 0, flat_gather)
-        self.invalid_gather_rows = np.flatnonzero(flat_gather < 0)
+        # Gather plans of the per-demand DNN layers, built once: the padded
+        # (D, k) path-id grid (-1 slots gather zeros) and its inverse, each
+        # path's flat grid position. Both indices are injective, so their
+        # backward is a gather too (see F.GatherPlan); the fused inference
+        # path reads its static gather inputs from the same plans.
+        self.gather_plan = F.GatherPlan(
+            pathset.demand_path_ids, pathset.num_paths
+        )
+        self.scatter_plan = F.GatherPlan(
+            grid_scatter_index(pathset), pathset.num_demands * pathset.max_paths
+        )
 
         # Compute dtype of the forward (see repro.nn.precision); astype()
         # switches it together with the parameters and aggregation
@@ -370,7 +382,7 @@ class FlowGNN(Module):
                 self.path_agg_t,
             )
             path_emb = self.dnn_layers[layer](
-                path_emb, self.gather_index, self.scatter_index
+                path_emb, self.gather_plan, self.scatter_plan
             )
             if layer < self.num_layers - 1:
                 # Embedding growth: re-append the initialization value.
@@ -399,6 +411,7 @@ class FlowGNN(Module):
         num_paths = path_init.shape[-2]
         num_demands = self.pathset.num_demands
         k = self.pathset.max_paths
+        gather = self.gather_plan
 
         # The initial embeddings are built numpy-side; move them (and
         # each layer's weights, below) onto the backend once. Identity
@@ -450,7 +463,7 @@ class FlowGNN(Module):
                 ("grouped", layer), lead + (num_demands * k, dim), dtype
             )
             padded_take_rows_into(
-                new_path, self.safe_gather_index, self.invalid_gather_rows, grouped
+                new_path, gather.safe_index, gather.invalid_rows, grouped
             )
             flat = grouped.reshape(lead + (num_demands, k * dim))
             updated = ws.buffer(
@@ -466,7 +479,7 @@ class FlowGNN(Module):
             tanh_(updated)
             grid = updated.reshape(lead + (num_demands * k, dim))
             path_out = ws.buffer(("path_out", layer), lead + (num_paths, dim), dtype)
-            take_rows_into(grid, self.scatter_index, path_out)
+            take_rows_into(grid, self.scatter_plan.safe_index, path_out)
             if layer < self.num_layers - 1:
                 # Embedding growth: re-append the initialization value.
                 grown_e = ws.buffer(
@@ -499,9 +512,8 @@ class FlowGNN(Module):
             lead + (num_demands * k, dim),
             array_ops(path_emb).dtype_of(path_emb),
         )
-        padded_take_rows_into(
-            path_emb, self.safe_gather_index, self.invalid_gather_rows, grouped
-        )
+        gather = self.gather_plan
+        padded_take_rows_into(path_emb, gather.safe_index, gather.invalid_rows, grouped)
         return grouped.reshape(lead + (num_demands, k * dim))
 
     def grouped_embeddings(self, path_emb: Tensor) -> Tensor:
@@ -512,7 +524,7 @@ class FlowGNN(Module):
         """
         dim = self.embedding_dim
         lead = path_emb.shape[:-2]
-        grouped = F.take_rows_padded(path_emb, self.gather_index)
+        grouped = F.take_rows_padded(path_emb, self.gather_plan)
         return grouped.reshape(
             lead + (self.pathset.num_demands, self.pathset.max_paths * dim)
         )

@@ -8,9 +8,11 @@ computation time (Figure 7a).
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from ..config import TealHyperparameters
 from ..exceptions import ModelError
+from ..nn.functional import GatherPlan
 from ..nn.layers import Linear, Module, ReLU, Tanh
 from ..nn.precision import EVALUATION_DTYPE
 from ..nn.tensor import Tensor
@@ -18,21 +20,8 @@ from ..paths.pathset import PathSet
 from ..topology.graph import broadcast_capacities
 from .backend import NUMPY_OPS, Backend, array_ops
 from .batching import linear_into, masked_softmax_into, relu_, tanh_
-from .flowgnn import FlowGNN
+from .flowgnn import FlowGNN, grid_scatter_index
 from .policy import PolicyNetwork
-
-
-def grid_scatter_index(pathset: PathSet) -> np.ndarray:
-    """(P,) flat position of each path inside the (D, k) ratio grid.
-
-    Shared by the models and the direct-loss trainer to move values
-    between per-path and per-demand-grid layouts.
-    """
-    flat_ids = pathset.demand_path_ids.reshape(-1)
-    positions = np.flatnonzero(flat_ids >= 0)
-    scatter = np.empty(pathset.num_paths, dtype=int)
-    scatter[flat_ids[positions]] = positions
-    return scatter
 
 
 class AllocatorModel(Module):
@@ -51,12 +40,38 @@ class AllocatorModel(Module):
         raise NotImplementedError
 
     @property
-    def scatter_index(self) -> np.ndarray:
-        """(P,) flat grid position of each path (cached)."""
-        cached = getattr(self, "_scatter_index", None)
+    def scatter_plan(self) -> GatherPlan:
+        """Gather plan of each path's flat (D, k) grid position.
+
+        Models with a FlowGNN share the one it built; others build and
+        cache their own.
+        """
+        flow_gnn = getattr(self, "flow_gnn", None)
+        if flow_gnn is not None:
+            return flow_gnn.scatter_plan
+        cached = getattr(self, "_scatter_plan", None)
         if cached is None:
-            cached = grid_scatter_index(self.pathset)
-            self._scatter_index = cached
+            ps = self.pathset
+            cached = GatherPlan(
+                grid_scatter_index(ps), ps.num_demands * ps.max_paths
+            )
+            self._scatter_plan = cached
+        return cached
+
+    @property
+    def incidence_t(self) -> sp.csr_matrix:
+        """(P, E) transpose of the edge-path incidence matrix.
+
+        The backward operand of the direct-loss link loads. Models with a
+        FlowGNN share the one it built; others build and cache their own.
+        """
+        flow_gnn = getattr(self, "flow_gnn", None)
+        if flow_gnn is not None:
+            return flow_gnn.incidence_t
+        cached = getattr(self, "_incidence_t", None)
+        if cached is None:
+            cached = self.pathset.edge_path_incidence.T.tocsr()
+            self._incidence_t = cached
         return cached
 
     def forward(self, demands: np.ndarray, capacities: np.ndarray) -> Tensor:

@@ -243,46 +243,144 @@ def pair_linear(
     return out
 
 
-def take_rows(x: Tensor, indices: np.ndarray) -> Tensor:
-    """Gather rows along the second-to-last axis with scatter-add backward.
+class GatherPlan:
+    """A row gather along the second-to-last axis, its backward built once.
+
+    The backward of a gather is a scatter-add. A plan precomputes it for
+    one index array, so a training step pays for no per-call index work:
+
+    - when every row is read at most once (an injective index, as are all
+      of FlowGNN's path/grid indices), the scatter-add is itself a gather:
+      ``np.take`` along the inverse index, with the rows nobody reads set
+      to zero;
+    - otherwise it is a constant (N, M) 0/1 CSR matrix ``S``, applied as
+      ``S @ grad`` and folded over the batch by :func:`_sparse_apply`.
+
+    Both match a scatter-add into a zero buffer (numpy's ``add.at``) bit
+    for bit: ``S`` holds each row's entries in ascending output position,
+    the order in which ``add.at`` accumulates, and the inverse gather adds
+    ``0.0`` so a ``-0.0`` gradient becomes the ``+0.0`` that accumulating
+    into zeros yields.
 
     Args:
-        x: (N, F) tensor, or a batched (..., N, F) tensor; the gather
-            indexes the N axis and is shared across batch elements.
-        indices: Integer row indices (any shape); output shape is
-            ``x.shape[:-2] + indices.shape + (F,)``.
+        indices: Integer row indices (any shape); -1 marks a padding slot
+            that gathers a zero row and receives no gradient.
+        num_rows: Row count N of the operands the plan gathers from.
+
+    Raises:
+        ModelError: On an index outside ``[-1, num_rows)``.
     """
+
+    __slots__ = (
+        "shape", "num_rows", "safe_index", "invalid_rows", "inverse",
+        "unread_rows", "_scatter",
+    )
+
+    def __init__(self, indices: np.ndarray, num_rows: int) -> None:
+        indices = np.asarray(indices, dtype=np.intp)
+        flat = indices.reshape(-1)
+        if flat.size and (flat.min() < -1 or flat.max() >= num_rows):
+            raise ModelError(f"gather indices must lie in [-1, {num_rows})")
+        self.shape = indices.shape
+        self.num_rows = int(num_rows)
+        invalid = flat < 0
+        # The flat forward index with padding clamped to row 0, and the
+        # flat padding positions zeroed after the gather.
+        self.safe_index = np.where(invalid, 0, flat)
+        self.invalid_rows = np.flatnonzero(invalid)
+        positions = np.flatnonzero(~invalid)
+        rows = flat[positions]
+        reads = np.bincount(rows, minlength=self.num_rows)
+        self._scatter: dict[np.dtype, sp.csr_matrix] = {}
+        if reads.max(initial=0) <= 1:
+            self.inverse = np.zeros(self.num_rows, dtype=np.intp)
+            self.inverse[rows] = positions
+            self.unread_rows = np.flatnonzero(reads == 0)
+        else:
+            self.inverse = None
+            self.unread_rows = None
+            self._scatter[np.dtype(np.float64)] = sp.csr_matrix(
+                (np.ones(rows.size), (rows, positions)),
+                shape=(self.num_rows, flat.size),
+            )
+
+    def gather(self, data: np.ndarray) -> np.ndarray:
+        """Forward: (..., N, F) rows -> (..., *indices.shape, F)."""
+        out = np.take(data, self.safe_index, axis=-2)
+        if self.invalid_rows.size:
+            out[..., self.invalid_rows, :] = 0.0
+        return out.reshape(data.shape[:-2] + self.shape + data.shape[-1:])
+
+    def scatter(self, grad: np.ndarray, dtype: np.dtype) -> np.ndarray:
+        """Backward: (..., *indices.shape, F) gradient -> (..., N, F).
+
+        The result is in ``dtype`` (the gathered operand's), as the zero
+        buffer of a scatter-add would be.
+        """
+        lead = grad.shape[: grad.ndim - len(self.shape) - 1]
+        grad = grad.reshape(lead + (self.safe_index.size, grad.shape[-1]))
+        if grad.dtype != dtype:
+            grad = grad.astype(dtype)
+        if self.inverse is None:
+            return _sparse_apply(self._scatter_matrix(grad.dtype), grad)
+        out = np.take(grad, self.inverse, axis=-2)
+        if self.unread_rows.size:
+            out[..., self.unread_rows, :] = 0.0
+        out += 0.0
+        return out
+
+    def _scatter_matrix(self, dtype: np.dtype) -> sp.csr_matrix:
+        """``S`` in ``dtype`` (cast once per dtype, then cached)."""
+        matrix = self._scatter.get(dtype)
+        if matrix is None:
+            matrix = self._scatter[np.dtype(np.float64)].astype(dtype)
+            self._scatter[dtype] = matrix
+        return matrix
+
+
+def _gather_rows(
+    x: Tensor, indices: np.ndarray | GatherPlan, padded: bool, name: str
+) -> Tensor:
+    """The shared body of :func:`take_rows` and :func:`take_rows_padded`."""
     x = as_tensor(x)
-    indices = np.asarray(indices, dtype=int)
     if x.ndim < 2:
-        raise ModelError("take_rows expects a tensor with at least 2 dims")
-    out = Tensor(x.data[..., indices, :], parents=(x,))
+        raise ModelError(f"{name} expects a tensor with at least 2 dims")
+    if isinstance(indices, GatherPlan):
+        plan = indices
+        if plan.num_rows != x.shape[-2]:
+            raise ModelError(
+                f"{name}: plan gathers from {plan.num_rows} rows, "
+                f"tensor has {x.shape[-2]}"
+            )
+    else:
+        plan = GatherPlan(indices, x.shape[-2])
+    if not padded and plan.invalid_rows.size:
+        raise ModelError(f"{name} indices must be non-negative")
+    out = Tensor(plan.gather(x.data), parents=(x,))
 
     def backward(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        acc = np.zeros_like(x.data)
-        flat_idx = indices.reshape(-1)
-        features = x.data.shape[-1]
-        if x.ndim == 2:
-            np.add.at(acc, flat_idx, grad.reshape(-1, features))
-        else:
-            lead = int(np.prod(x.data.shape[:-2]))
-            acc_view = acc.reshape(lead, x.data.shape[-2], features)
-            grad_flat = grad.reshape(lead, flat_idx.size, features)
-            np.add.at(
-                acc_view,
-                (np.arange(lead)[:, None], flat_idx[None, :]),
-                grad_flat,
-            )
-        x._accumulate(acc)
+        if x.requires_grad:
+            x._accumulate(plan.scatter(grad, x.data.dtype))
 
     out._backward_fn = backward
     return out
 
 
-def take_rows_padded(x: Tensor, indices: np.ndarray) -> Tensor:
-    """Like :func:`take_rows` but negative indices yield zero rows.
+def take_rows(x: Tensor, indices: np.ndarray | GatherPlan) -> Tensor:
+    """Gather rows along the second-to-last axis with scatter-add backward.
+
+    Args:
+        x: (N, F) tensor, or a batched (..., N, F) tensor; the gather
+            indexes the N axis and is shared across batch elements.
+        indices: Integer row indices (any shape), or a prebuilt
+            :class:`GatherPlan` over N rows (models build theirs once);
+            output shape is ``x.shape[:-2] + indices.shape + (F,)``.
+    """
+    return _gather_rows(x, indices, padded=False, name="take_rows")
+
+
+def take_rows_padded(x: Tensor, indices: np.ndarray | GatherPlan) -> Tensor:
+    """Like :func:`take_rows` but -1 indices yield zero rows.
 
     The gather primitive for padded (D, k) path grids: padding slots are
     marked -1 and produce zeros (forward) and receive no gradient
@@ -290,42 +388,10 @@ def take_rows_padded(x: Tensor, indices: np.ndarray) -> Tensor:
 
     Args:
         x: (N, F) tensor, or a batched (..., N, F) tensor.
-        indices: Integer row indices (any shape); -1 marks padding.
+        indices: Integer row indices (any shape) with -1 marking padding,
+            or a prebuilt :class:`GatherPlan`.
     """
-    x = as_tensor(x)
-    indices = np.asarray(indices, dtype=int)
-    if x.ndim < 2:
-        raise ModelError("take_rows_padded expects a tensor with at least 2 dims")
-    invalid = indices < 0
-    safe = np.where(invalid, 0, indices)
-    data = x.data[..., safe, :]
-    if invalid.any():
-        data[..., invalid, :] = 0.0
-    out = Tensor(data, parents=(x,))
-
-    def backward(grad: np.ndarray) -> None:
-        if not x.requires_grad:
-            return
-        acc = np.zeros_like(x.data)
-        flat_idx = safe.reshape(-1)
-        keep = ~invalid.reshape(-1)
-        features = x.data.shape[-1]
-        if x.ndim == 2:
-            grad_flat = grad.reshape(-1, features)
-            np.add.at(acc, flat_idx[keep], grad_flat[keep])
-        else:
-            lead = int(np.prod(x.data.shape[:-2]))
-            acc_view = acc.reshape(lead, x.data.shape[-2], features)
-            grad_flat = grad.reshape(lead, flat_idx.size, features)
-            np.add.at(
-                acc_view,
-                (np.arange(lead)[:, None], flat_idx[keep][None, :]),
-                grad_flat[:, keep],
-            )
-        x._accumulate(acc)
-
-    out._backward_fn = backward
-    return out
+    return _gather_rows(x, indices, padded=True, name="take_rows_padded")
 
 
 def _sparse_apply(csr: sp.csr_matrix, arr: np.ndarray) -> np.ndarray:

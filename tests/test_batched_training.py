@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import scatter_add_reference
 from repro.config import AdmmConfig, TrainingConfig
 from repro.core import (
     AdmmFineTuner,
@@ -35,6 +36,7 @@ from repro.core.coma import sample_training_capacities
 from repro.exceptions import TrainingError
 from repro.lp import MinMaxLinkUtilizationObjective, TotalFlowObjective
 from repro.lp.objectives import DelayPenalizedFlowObjective
+from repro.nn import functional as F
 from repro.paths import PathSet
 from repro.topology import b4
 from repro.traffic import TrafficTrace
@@ -328,6 +330,43 @@ class TestBatchedComa:
         trainer = ComaTrainer(TealModel(pathset, seed=0))
         with pytest.raises(TrainingError):
             trainer.train(matrices[:2], steps=1, batch_size=0)
+
+
+def _add_at_scatter(plan, grad, dtype):
+    """GatherPlan.scatter replaced by the ``np.add.at`` reference."""
+    indices = plan.safe_index.copy()
+    indices[plan.invalid_rows] = -1
+    return scatter_add_reference(
+        indices.reshape(plan.shape), grad, plan.num_rows, dtype
+    )
+
+
+class TestGatherPlanTrainingBitIdentity:
+    """Trained weights do not depend on how the gather backward is computed."""
+
+    @staticmethod
+    def _train(pathset, matrices, dtype) -> dict:
+        model = TealModel(pathset, seed=0).astype(dtype)
+        config = TrainingConfig(
+            steps=3, warm_start_steps=3, batch_matrices=4, failure_rate=0.25,
+            log_every=1000, seed=2,
+        )
+        DirectLossTrainer(model, TotalFlowObjective(), config).train(
+            matrices, steps=config.warm_start_steps
+        )
+        ComaTrainer(model, TotalFlowObjective(), config).train(matrices)
+        return model.state_dict()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_weights_match_add_at_reference(self, tight_b4, monkeypatch, dtype):
+        pathset, matrices = tight_b4
+        planned = self._train(pathset, matrices[:8], dtype)
+        monkeypatch.setattr(F.GatherPlan, "scatter", _add_at_scatter)
+        reference = self._train(pathset, matrices[:8], dtype)
+        assert planned.keys() == reference.keys()
+        for name, value in planned.items():
+            assert value.dtype == np.dtype(dtype)
+            assert value.tobytes() == reference[name].tobytes(), name
 
 
 class TestLoggedRewardCapacities:

@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import numerical_gradient
+from helpers import numerical_gradient, scatter_add_reference
 
 from repro.exceptions import ModelError
 from repro.nn import Parameter, Tensor
@@ -142,6 +144,97 @@ class TestStructuralOps:
         assert np.allclose(out.data, [0.0, 0.5, 1.0])
         out.sum().backward()
         assert np.allclose(x.grad, [0.0, 1.0, 0.0])
+
+
+#: Upstream-gradient values: signed zeros next to ordinary magnitudes, so a
+#: -0.0 read once (or summed with another -0.0) must come back as +0.0.
+_GRAD_VALUES = (-0.0, 0.0, 1.0, -1.0, 0.1, -2.5, 3e-8)
+
+
+@st.composite
+def _gather_cases(draw):
+    """(indices, padded, x, upstream gradient, prebuilt plan?)."""
+    kind = draw(st.sampled_from(["injective", "repeated", "padded"]))
+    num_rows = draw(st.integers(1, 7))
+    features = draw(st.integers(1, 3))
+    lead = draw(st.sampled_from([(), (3,), (2, 2)]))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    if kind == "injective":
+        size = draw(st.integers(1, num_rows))
+        flat = np.array(draw(st.permutations(range(num_rows)))[:size])
+    else:
+        low = -1 if kind == "padded" else 0
+        flat = np.array(
+            draw(st.lists(st.integers(low, num_rows - 1), min_size=1, max_size=10))
+        )
+    if flat.size % 2 == 0 and draw(st.booleans()):
+        flat = flat.reshape(2, -1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    x = rng.normal(size=lead + (num_rows, features)).astype(dtype)
+    out_shape = lead + flat.shape + (features,)
+    grad = np.array(
+        draw(
+            st.lists(
+                st.sampled_from(_GRAD_VALUES),
+                min_size=int(np.prod(out_shape)),
+                max_size=int(np.prod(out_shape)),
+            )
+        ),
+        dtype=dtype,
+    ).reshape(out_shape)
+    return flat, kind == "padded", x, grad, draw(st.booleans())
+
+
+class TestGatherPlan:
+    """take_rows / take_rows_padded against an ``np.add.at`` reference."""
+
+    @given(_gather_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_add_at_bit_for_bit(self, case):
+        indices, padded, data, grad, prebuilt = case
+        x = Parameter(data)
+        gather = F.take_rows_padded if padded else F.take_rows
+        plan = F.GatherPlan(indices, data.shape[-2]) if prebuilt else indices
+        out = gather(x, plan)
+
+        safe = np.where(indices < 0, 0, indices)
+        expected = data[..., safe, :]
+        expected[..., indices < 0, :] = 0.0
+        assert out.data.dtype == data.dtype
+        assert np.array_equal(out.data, expected)
+
+        out.backward(grad)
+        reference = scatter_add_reference(
+            indices, grad, data.shape[-2], data.dtype
+        )
+        assert x.grad.dtype == data.dtype
+        assert np.array_equal(x.grad, reference)
+        assert np.array_equal(np.signbit(x.grad), np.signbit(reference))
+
+    def test_injective_index_uses_inverse_gather(self):
+        plan = F.GatherPlan(np.array([[2, -1], [0, 3]]), 5)
+        assert plan.inverse is not None
+        assert plan.unread_rows.tolist() == [1, 4]
+        assert plan.invalid_rows.tolist() == [1]
+
+    def test_repeated_index_uses_scatter_matrix(self):
+        plan = F.GatherPlan(np.array([1, 1, 0]), 2)
+        assert plan.inverse is None
+
+    def test_rejects_out_of_range_indices(self):
+        with pytest.raises(ModelError):
+            F.GatherPlan(np.array([0, 3]), 3)
+        with pytest.raises(ModelError):
+            F.GatherPlan(np.array([-2, 0]), 3)
+
+    def test_take_rows_rejects_padding(self):
+        with pytest.raises(ModelError):
+            F.take_rows(Tensor(np.ones((3, 2))), np.array([0, -1]))
+
+    def test_plan_row_count_must_match(self):
+        plan = F.GatherPlan(np.array([0, 1]), 4)
+        with pytest.raises(ModelError):
+            F.take_rows(Tensor(np.ones((3, 2))), plan)
 
 
 class TestGaussianLogProb:
