@@ -29,14 +29,14 @@ The four rules and the invariants they guard:
   serialization, and wall-clock reads outside the timing-designated
   modules all introduce run-to-run variance that those guarantees
   cannot survive.
-- **RL004 dispatch-seam** — every hot-path tensor op must reach the
-  array library through the ops namespaces in
-  :mod:`repro.core.backend` (the fused kernels in
-  :mod:`repro.core.batching` already do) so backend selection
-  (numpy/torch) stays a one-point change. A direct ``np.matmul`` /
-  ``np.einsum`` / ``@`` — or a raw ``np.empty``/``np.zeros``
-  allocation — in a hot-path module is a second dispatch point the
-  swap would miss.
+- **RL004 dispatch-seam** — every hot-path matmul and scratch
+  allocation goes through the fused kernels and the
+  :class:`~repro.core.batching.Workspace` in :mod:`repro.core.batching`,
+  so hot-path arithmetic has one place where its op order and buffers
+  are spelled out. A direct
+  ``np.matmul`` / ``np.einsum`` / ``@`` — or a raw
+  ``np.empty``/``np.zeros`` allocation — in a hot-path module is a
+  second such place.
 """
 
 from __future__ import annotations
@@ -123,13 +123,13 @@ RULES: dict[str, Rule] = {
         ),
         Rule(
             id="RL004",
-            title="hot-path tensor ops must go through core/backend.py",
+            title="hot-path tensor ops must go through core/batching.py",
             rationale=(
                 "direct np.matmul/np.einsum/@/.dot calls and raw "
                 "np.empty/np.zeros allocations in hot-path modules bypass "
-                "the backend dispatch seam (repro.core.backend) that "
-                "selects the array library; route through the "
-                "core/batching kernels or the backend ops namespace."
+                "the fused-kernel seam (repro.core.batching) that fixes "
+                "op order and owns scratch buffers; route through its "
+                "kernels or Workspace.buffer."
             ),
             scope="hot-path modules (see HOT_PATH_MODULES)",
         ),
@@ -159,13 +159,11 @@ TIMING_MODULES = (
 )
 
 #: Hot-path modules (RL004): the inference/ADMM pipeline plus the
-#: autodiff reference path that the fused kernels mirror. Since the
-#: backend refactor the fused kernels in core/batching.py are hot-path
-#: too — they must dispatch through the ops namespaces. The seam
-#: itself (core/backend.py) is the sole exempt module: it is the one
-#: place direct numpy/torch calls are *supposed* to live.
+#: autodiff reference path that the fused kernels mirror. The kernel
+#: seam itself (core/batching.py) is the sole exempt module: it is the
+#: one place direct matmuls and raw buffer allocations are *supposed*
+#: to live.
 HOT_PATH_MODULES = (
-    "/repro/core/batching.py",
     "/repro/core/flowgnn.py",
     "/repro/core/model.py",
     "/repro/core/admm.py",
@@ -177,7 +175,7 @@ HOT_PATH_MODULES = (
     "/repro/simulation/streaming.py",
 )
 
-DISPATCH_SEAM_MODULE = "/repro/core/backend.py"
+KERNEL_SEAM_MODULE = "/repro/core/batching.py"
 
 
 def _norm(path: str) -> str:
@@ -200,6 +198,6 @@ def in_timing_scope(path: str) -> bool:
 
 def in_hot_path(path: str) -> bool:
     p = _norm(path)
-    if p.endswith(DISPATCH_SEAM_MODULE):
+    if p.endswith(KERNEL_SEAM_MODULE):
         return False
     return any(p.endswith(m) for m in HOT_PATH_MODULES)

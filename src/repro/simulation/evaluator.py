@@ -160,10 +160,6 @@ def path_bottleneck_utilization(
     infinite utilization (their traffic is fully dropped); zero-capacity
     links with zero load contribute nothing.
     """
-    # Function-level import: a top-level one would cycle through
-    # repro.core.__init__ -> coma -> lp.objectives -> this module.
-    from ..core.backend import NUMPY_OPS
-
     loads = pathset.edge_loads(intended_flows)
     with np.errstate(divide="ignore", invalid="ignore"):
         util = np.where(
@@ -172,7 +168,7 @@ def path_bottleneck_utilization(
             np.where(loads > 0, _INFINITE_UTILIZATION, 0.0),
         )
     incidence = pathset.edge_path_incidence.tocsc()
-    bottleneck = NUMPY_OPS.zeros(pathset.num_paths)
+    bottleneck = np.zeros(pathset.num_paths)
     for p in range(pathset.num_paths):
         edges = incidence.indices[incidence.indptr[p] : incidence.indptr[p + 1]]
         if edges.size:
@@ -192,18 +188,14 @@ def _path_max_utilization_batch(
     across calls instead of reallocated — the buffer is internal to
     this function, so workspace reuse never aliases returned arrays.
     """
-    # Function-level import: a top-level one would cycle through
-    # repro.core.__init__ -> coma -> lp.objectives -> this module.
-    from ..core.backend import NUMPY_OPS
-
     coo = pathset.edge_path_incidence.tocoo()
     shape = (pathset.num_paths, util.shape[0])
     if workspace is None:
-        bottleneck = NUMPY_OPS.zeros(shape)
+        bottleneck = np.zeros(shape)
     else:
         bottleneck = workspace.buffer(("evaluator", "bottleneck"), shape, np.float64)
         bottleneck[...] = 0.0
-    NUMPY_OPS.segment_max_into(bottleneck, coo.col, util.T[coo.row])
+    np.maximum.at(bottleneck, coo.col, util.T[coo.row])
     # A view: the single caller consumes it before its next request, and
     # the downstream scale/delivered arrays are fresh allocations.
     return bottleneck.T
@@ -223,9 +215,7 @@ def _row_sums(x: np.ndarray) -> np.ndarray:
     ``demands.sum()`` by construction. T is a handful of grid rows, so
     the Python loop is noise next to the kernels it sits between.
     """
-    from ..core.backend import NUMPY_OPS
-
-    out = NUMPY_OPS.empty((x.shape[0],), x.dtype)
+    out = np.empty((x.shape[0],), x.dtype)
     for i in range(x.shape[0]):
         out[i] = x[i].sum()
     return out
@@ -358,12 +348,8 @@ def evaluate_allocations_batch(
         max_util = post_util.max(axis=-1)
         intended_mlu = util.max(axis=-1)
     else:
-        # Function-level import; top-level would cycle (see
-        # _path_max_utilization_batch).
-        from ..core.backend import NUMPY_OPS
-
-        max_util = NUMPY_OPS.zeros(num_matrices)
-        intended_mlu = NUMPY_OPS.zeros(num_matrices)
+        max_util = np.zeros(num_matrices)
+        intended_mlu = np.zeros(num_matrices)
     return BatchFlowReport(
         delivered_path_flows=delivered,
         intended_path_flows=intended,

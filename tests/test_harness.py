@@ -306,6 +306,19 @@ class TestTrainedTealDiskCache:
         assert explicit is default
         assert len(list(tmp_path.glob("teal-*.npz"))) == 2
 
+    def test_distinct_admm_configs_distinct_checkpoints(
+        self, b4_scenario, tmp_path
+    ):
+        """The admm= kwarg is part of the on-disk key, not only steps."""
+        from repro.config import AdmmConfig
+
+        for iterations in (3, 7):
+            trained_teal(
+                b4_scenario, config=self._CONFIG, cache_dir=tmp_path,
+                admm=AdmmConfig(iterations=iterations),
+            )
+        assert len(list(tmp_path.glob("teal-*.npz"))) == 2
+
     def test_runs_comparison(self, b4_scenario):
         config = TrainingConfig(steps=4, warm_start_steps=20, log_every=4)
         teal = trained_teal(b4_scenario, config=config)
