@@ -78,7 +78,7 @@ class _AdmmStructures:
     """Static index structures shared by every ADMM run on a pathset."""
 
     pair_path: np.ndarray  # (I,) path id of each (path, edge) incidence
-    pair_edge: np.ndarray  # (I,) edge id of each incidence
+    pair_edge: np.ndarray  # (I,) edge id of each incidence (sorted)
     hops: np.ndarray  # (P,) edges per path (n_p)
     paths_per_edge: np.ndarray  # (E,) paths per edge (m_e)
     num_paths: int
@@ -88,10 +88,9 @@ class _AdmmStructures:
 
 
 def _build_structures(pathset: PathSet) -> _AdmmStructures:
-    coo = pathset.edge_path_incidence.tocoo()
     return _AdmmStructures(
-        pair_path=coo.col.astype(np.int64),
-        pair_edge=coo.row.astype(np.int64),
+        pair_path=pathset.pair_path,
+        pair_edge=pathset.pair_edge,
         hops=pathset.path_hop_counts.astype(EVALUATION_DTYPE),
         paths_per_edge=np.asarray(
             pathset.edge_path_incidence.sum(axis=1)
@@ -114,7 +113,7 @@ class AdmmFineTuner:
             (1 for total flow; the delay-penalized weights otherwise).
         precision: Storage dtype of the F/z/s/dual iterates (default
             float64). Segment sums always *accumulate* in float64
-            (``np.bincount``) and the deployment acceptance check scores
+            (:class:`SegmentOps`) and the deployment acceptance check scores
             candidates through the float64 evaluator, so float32 storage
             perturbs the iterates but not the accept/reject decisions —
             see :mod:`repro.nn.precision`.
@@ -140,9 +139,10 @@ class AdmmFineTuner:
         self.iterations = self.config.resolve_iterations(
             pathset.topology.num_nodes
         )
-        # Tiled-index segment ops: the batched fine-tuner runs the same
-        # flat bincount/scatter primitives as the per-TM path over a
-        # (T, ...) stack (see core.batching), so both agree bit for bit.
+        # Segment operators over the fixed index maps, built once: the
+        # loop's sums, maxima and gathers run on them (see core.batching).
+        # pair_edge and path_demand are sorted, so their gathers are
+        # run-length copies.
         s = self.structures
         self._pair_to_path = SegmentOps(s.pair_path, s.num_paths)
         self._pair_to_edge = SegmentOps(s.pair_edge, s.num_edges)
@@ -207,9 +207,9 @@ class AdmmFineTuner:
 
         The per-demand/per-edge independence of the F/z/s/dual blocks
         (§3.4) makes each ADMM update flat vector math over segment
-        reductions; adding the matrix axis only tiles those segment
-        indices (see :mod:`repro.core.batching`), so T matrices cost T
-        times the arithmetic but a single pass of Python — and row ``t``
+        reductions; the segment operators (see :mod:`repro.core.batching`)
+        reduce each row of a (T, ...) stack on its own, so T matrices cost
+        T times the arithmetic but a single pass of Python — and row ``t``
         reproduces :meth:`fine_tune` on slice ``t`` exactly.
 
         Args:
@@ -269,7 +269,7 @@ class AdmmFineTuner:
         c_norm = capacities / scale
         rho = self.config.rho
 
-        d_p = d_norm[:, s.path_demand]  # (T, P)
+        d_p = self._path_to_demand.expand(d_norm)  # (T, P)
         d_p_solve = d_p.astype(solve) if mixed else d_p
         w_p_solve = self.path_values  # float64 master
         a = np.maximum(d_p_solve * d_p_solve * s.hops, _EPS)
@@ -288,7 +288,7 @@ class AdmmFineTuner:
         flow_pairs = ws.buffer("flow_pairs", shape_ti, dtype)  # (F*d) gathers
         tp_buf = ws.buffer("tp", shape_tp, dtype)  # per-path scratch
         np.multiply(F_flat, d_p, out=tp_buf)
-        np.take(tp_buf, s.pair_path, axis=1, out=z)  # z_pe = F_p * d_p
+        self._pair_to_path.expand_into(tp_buf, z)  # z_pe = F_p * d_p
         sum_z = self._pair_to_edge.sum(z, dtype=dtype)
         s1 = np.maximum(0.0, 1.0 - self._path_to_demand.sum(F_flat, dtype=dtype))
         s3 = np.maximum(0.0, c_norm - sum_z)
@@ -308,7 +308,7 @@ class AdmmFineTuner:
             )
         congestion_price = (warm_util > 1.0).astype(dtype)
         path_price = self._pair_to_path.sum(
-            congestion_price[:, s.pair_edge], dtype=dtype
+            self._pair_to_edge.expand(congestion_price), dtype=dtype
         )
         reduced_value = np.maximum(0.0, w_p - path_price)
         best_reduced = self._path_to_demand.max(reduced_value)
@@ -333,12 +333,12 @@ class AdmmFineTuner:
 
         for _ in range(iters):
             # ---- F-update: per-demand rank-1 + diagonal system ---------
-            # Segment sums come out of bincount in float64 — exactly the
-            # accumulation dtype the solve wants.
+            # Segment sums come out in float64 — exactly the accumulation
+            # dtype the solve wants.
             lam4_per_path = self._pair_to_path.sum(lam4)
             z_per_path = self._pair_to_path.sum(z)
-            np.take(lam1, s.path_demand, axis=1, out=gather_p)  # lam1 gather
-            np.take(s1, s.path_demand, axis=1, out=tp_scratch)  # s1 gather
+            self._path_to_demand.expand_into(lam1, gather_p)  # lam1 gather
+            self._path_to_demand.expand_into(s1, tp_scratch)  # s1 gather
             admm_f_rhs_into(
                 d_p_solve, w_p_solve, gather_p, lam4_per_path, tp_scratch,
                 z_per_path, rho, b, tp_solve,
@@ -346,21 +346,23 @@ class AdmmFineTuner:
             np.multiply(b, inv_a, out=tp_solve)
             correction = self._path_to_demand.sum(tp_solve)
             correction /= correction_denom
-            np.take(correction, s.path_demand, axis=1, out=tp_solve)
+            self._path_to_demand.expand_into(correction, tp_solve)
             admm_f_solve_into(b, inv_a_over_rho, tp_solve, f_solve)
             if mixed:
                 np.copyto(F_flat, f_solve)  # store single precision
 
             # ---- z-update: per-edge rank-1 + identity system ------------
             np.subtract(c_norm, s3, out=te_buf)
-            np.take(te_buf, s.pair_edge, axis=1, out=ti_buf)  # (c - s3) gather
+            self._pair_to_edge.expand_into(te_buf, ti_buf)  # (c - s3) gather
             np.multiply(F_flat, d_p, out=tp_buf)
-            np.take(tp_buf, s.pair_path, axis=1, out=flow_pairs)  # F*d gather
-            np.take(lam3, s.pair_edge, axis=1, out=beta)  # lam3 gather
+            # F*d gather; F stays fixed until the next F-update, so the
+            # dual step below reuses it.
+            self._pair_to_path.expand_into(tp_buf, flow_pairs)
+            self._pair_to_edge.expand_into(lam3, beta)  # lam3 gather
             admm_z_rhs_into(beta, lam4, ti_buf, flow_pairs, rho, beta)
             sum_beta = self._pair_to_edge.sum(beta, dtype=dtype)
             sum_beta /= one_plus_ppe
-            np.take(sum_beta, s.pair_edge, axis=1, out=ti_buf)
+            self._pair_to_edge.expand_into(sum_beta, ti_buf)
             admm_z_solve_into(beta, ti_buf, rho, z)
 
             # ---- s-updates (non-negative slacks) -------------------------
@@ -372,8 +374,6 @@ class AdmmFineTuner:
             # ---- dual updates -------------------------------------------
             admm_dual_step_(lam1, sum_F, s1, 1.0, rho, td_buf)
             admm_dual_step_(lam3, sum_z, s3, c_norm, rho, te_buf)
-            np.multiply(F_flat, d_p, out=tp_buf)
-            np.take(tp_buf, s.pair_path, axis=1, out=flow_pairs)
             np.subtract(flow_pairs, z, out=flow_pairs)
             flow_pairs *= rho
             lam4 += flow_pairs

@@ -4,19 +4,30 @@ Two families of primitives live here, both shared across the training,
 inference, and ADMM stacks:
 
 **Segment ops.** The per-matrix math in COMA*'s decomposable reward and
-in the ADMM fine-tuner is built from three flat-index primitives over
-fixed integer maps (path -> demand, incidence pair -> edge, ...):
-``np.bincount`` segment sums, ``np.maximum.at`` segment maxima, and
-plain gathers. All of them extend to a leading (T,) batch axis by
-*tiling*: offset the index array by ``t * num_segments`` for batch
-element ``t`` and run the same 1-D primitive over the flattened (T * N,)
-weights. Because every segment still accumulates its elements in the
-original order, the tiled result is bit-identical to running the
-per-matrix primitive T times — which is what lets the batched trainers
-and ``fine_tune_batch`` reproduce the per-TM loops to machine precision
-instead of merely "close". Segment sums always *accumulate* in float64
-(``np.bincount``'s accumulator) whatever the storage dtype — the
-"float64 accumulation" half of the precision policy
+in the ADMM fine-tuner is built from three primitives over fixed integer
+maps (path -> demand, incidence pair -> edge, ...): segment sums,
+segment maxima and gathers back to elements. :class:`SegmentOps` builds
+each map's operator once and replays the result of ``np.bincount``,
+``np.maximum.at`` and ``np.take`` bit for bit, without paying for their
+scatter loops or bounds checks on every call:
+
+- sums are a CSR mat-vec (scipy's ``csr_matvec``, one call per batch
+  row) whose rows hold each segment's elements in their original order,
+  so every segment adds in ``np.bincount``'s order into a float64
+  accumulator;
+- maxima are a left fold of elementwise ``np.maximum`` calls, one per
+  position in the longest segment, taking every segment's elements in
+  their original order — the order ``np.maximum.at`` takes them, which
+  fixes which of ``+0.0``/``-0.0`` wins a tie;
+- gathers over a sorted map are ``np.repeat`` copies; others run an
+  unbuffered ``np.take``.
+
+Each row of a (T, ...) stack is reduced on its own, so batched results
+equal T per-matrix calls exactly — which is what lets the batched
+trainers and ``fine_tune_batch`` reproduce the per-TM loops to machine
+precision instead of merely "close". Nothing stored grows with T.
+Segment sums always *accumulate* in float64 whatever the storage dtype
+— the "float64 accumulation" half of the precision policy
 (:mod:`repro.nn.precision`).
 
 **Fused kernels.** The FlowGNN forward and the ADMM update loop are
@@ -49,8 +60,7 @@ kernel                   writes            inout        scratch     may alias
 ``masked_softmax_into``  out               —            reduce_buf  logits == out
 ``admm_f_rhs_into``      out               —            tmp         —
 ``admm_f_solve_into``    out               —            —           —
-``admm_z_rhs_into``      out               slack_g,     —           lam3_g == out
-                                           flow_g
+``admm_z_rhs_into``      out               —            slack_g     lam3_g == out
 ``admm_z_solve_into``    out               —            —           —
 ``admm_slack_into``      out               —            tmp         —
 ``admm_dual_step_``      —                 dual         tmp         —
@@ -64,24 +74,29 @@ involving a clobbered buffer must be disjoint.
 
 **Kernel seam.** These kernels and :class:`SegmentOps` are the one
 place hot-path array arithmetic is spelled out: they call numpy (and
-scipy's ``csr_matvecs``) directly, and lint rule RL004 exempts this
-module alone from its hot-path matmul and workspace-allocation checks.
+scipy's ``csr_matvec``/``csr_matvecs``) directly, and lint rule RL004
+exempts this module alone from its hot-path matmul, allocation and
+segment-reduction checks.
 """
 
 from __future__ import annotations
 
 import os
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
+from ..nn.precision import EVALUATION_DTYPE
+
 try:  # scipy's typed C kernels; fall back to `csr @ dense` if moved.
     from scipy.sparse import _sparsetools
 
+    _CSR_MATVEC = _sparsetools.csr_matvec
     _CSR_MATVECS = _sparsetools.csr_matvecs
 except (ImportError, AttributeError):  # pragma: no cover - scipy internal
-    _CSR_MATVECS = None
+    _CSR_MATVEC = _CSR_MATVECS = None
 
 #: Armed by repro.lint.sanitize.install_sanitizers (REPRO_SANITIZE=1):
 #: Workspace.buffer NaN-poisons fresh allocations when set.
@@ -89,7 +104,12 @@ _SANITIZE = False
 
 
 class SegmentOps:
-    """Segment sum / max over a fixed index map, batched via index tiling.
+    """Segment sum / max / expand over a fixed index map.
+
+    Built once per index map. It holds the stable argsort of ``index``
+    as a CSR operator with unit data (one row per segment, one column
+    per element), plus the per-segment counts; nothing it stores grows
+    with the batch size T.
 
     Args:
         index: (N,) integer segment id of each element.
@@ -99,33 +119,55 @@ class SegmentOps:
     def __init__(self, index: np.ndarray, num_segments: int) -> None:
         self.index = np.asarray(index, dtype=np.int64)
         self.num_segments = int(num_segments)
-        self._tiled: dict[int, np.ndarray] = {}
+        size = self.index.size
+        if size and (self.index.min() < 0 or self.index.max() >= self.num_segments):
+            raise ValueError("segment ids must lie in [0, num_segments)")
+        self.counts = np.bincount(self.index, minlength=self.num_segments)
+        self.is_sorted = bool(np.all(self.index[1:] >= self.index[:-1]))
+        order = np.argsort(self.index, kind="stable")
+        indptr = np.zeros(self.num_segments + 1, dtype=np.int64)
+        np.cumsum(self.counts, out=indptr[1:])
+        #: (S, N) operator: row s adds segment s's elements in their
+        #: original order, the order ``np.bincount`` adds them in.
+        self.matrix = sp.csr_matrix(
+            (np.ones(size), order, indptr), shape=(self.num_segments, size)
+        )
 
-    def tiled_index(self, batch: int) -> np.ndarray:
-        """(batch * N,) index with ``t * num_segments`` offsets (cached)."""
-        cached = self._tiled.get(batch)
-        if cached is None:
-            offsets = self.num_segments * np.arange(batch, dtype=np.int64)
-            cached = (self.index[None, :] + offsets[:, None]).reshape(-1)
-            self._tiled[batch] = cached
-        return cached
+    @cached_property
+    def _fold(self) -> tuple[np.ndarray, np.ndarray]:
+        """(non-empty segment ids, (L, S') element grid) for :meth:`max`.
+
+        Column s of the grid lists segment s's elements in their
+        original order, then repeats its last element up to the longest
+        segment's length L. A repeat is a no-op for a running maximum.
+        """
+        nonempty = np.flatnonzero(self.counts)
+        counts = self.counts[nonempty]
+        starts = self.matrix.indptr[nonempty]
+        length = int(counts.max()) if counts.size else 0
+        steps = np.minimum(np.arange(length)[:, None], counts[None, :] - 1)
+        return nonempty, self.matrix.indices[starts[None, :] + steps]
 
     def sum(self, weights: np.ndarray, dtype: np.dtype | None = None) -> np.ndarray:
         """Per-segment sums: (T, N) weights -> (T, S) totals.
 
         Row ``t`` equals ``np.bincount(index, weights[t], minlength=S)``
-        bit for bit (same accumulation order per segment). Accumulation
-        is always float64 (bincount's accumulator); ``dtype`` selects
-        the storage dtype of the result (default: float64, the historic
-        behaviour).
+        bit for bit: the CSR row of each segment adds its elements in
+        the same order, into a float64 accumulator starting at 0.0.
+        Accumulation is always float64 whatever the weights' dtype;
+        ``dtype`` selects the storage dtype of the result (default:
+        float64).
         """
-        weights = np.asarray(weights)
-        batch = weights.shape[0]
-        out = np.bincount(
-            self.tiled_index(batch),
-            weights=weights.reshape(-1),
-            minlength=batch * self.num_segments,
-        ).reshape(batch, self.num_segments)
+        weights = np.ascontiguousarray(weights, dtype=EVALUATION_DTYPE)
+        out = np.zeros((weights.shape[0], self.num_segments))
+        m = self.matrix
+        for row, total in zip(weights, out):
+            if _CSR_MATVEC is None:  # pragma: no cover - scipy internal
+                total[...] = m @ row
+            else:
+                _CSR_MATVEC(
+                    m.shape[0], m.shape[1], m.indptr, m.indices, m.data, row, total
+                )
         if dtype is not None and out.dtype != dtype:
             out = out.astype(dtype)
         return out
@@ -138,24 +180,46 @@ class SegmentOps:
     ) -> np.ndarray:
         """Per-segment maxima: (T, N) values -> (T, S), empty segments
         keep ``initial``. ``dtype`` selects the result dtype (default:
-        the values' own dtype)."""
+        the values' own dtype).
+
+        Bit-identical to ``np.maximum.at`` into a buffer filled with
+        ``initial``: one elementwise ``np.maximum(running, next)`` per
+        grid row replays that left fold in element order, so ties
+        between ``+0.0`` and ``-0.0`` resolve as ``maximum.at`` resolves
+        them. (``np.maximum.reduceat`` does not: its SIMD reduction
+        changes which zero wins in some runs of 9 or more elements.)
+        """
         values = np.asarray(values)
-        batch = values.shape[0]
         out = np.full(
-            batch * self.num_segments,
+            (values.shape[0], self.num_segments),
             initial,
             dtype=values.dtype if dtype is None else dtype,
         )
-        np.maximum.at(out, self.tiled_index(batch), values.reshape(-1))
-        return out.reshape(batch, self.num_segments)
+        nonempty, grid = self._fold
+        running = out if nonempty.size == self.num_segments else out[:, nonempty]
+        for elements in grid:
+            np.maximum(running, np.take(values, elements, axis=-1), out=running)
+        if running is not out:
+            out[:, nonempty] = running
+        return out
 
     def expand(self, per_segment: np.ndarray) -> np.ndarray:
         """Gather per-segment values back to elements: (T, S) -> (T, N)."""
-        return np.asarray(per_segment)[:, self.index]
+        if self.is_sorted:
+            return np.repeat(per_segment, self.counts, axis=-1)
+        return np.take(per_segment, self.index, axis=-1)
 
     def expand_into(self, per_segment: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Fused :meth:`expand`: gather (T, S) -> (T, N) into ``out``."""
-        np.take(per_segment, self.index, axis=-1, out=out)
+        """Fused :meth:`expand`: gather (T, S) -> (T, N) into ``out``.
+
+        A sorted index is a run-length copy (``np.repeat``); any other
+        runs an unbuffered ``np.take`` (ids were range-checked once, so
+        ``mode="clip"`` never clips).
+        """
+        if self.is_sorted:
+            out[...] = np.repeat(per_segment, self.counts, axis=-1)
+        else:
+            np.take(per_segment, self.index, axis=-1, out=out, mode="clip")
         return out
 
 
@@ -447,18 +511,19 @@ def admm_z_rhs_into(
     rho: float,
     out: np.ndarray,
 ) -> np.ndarray:
-    """z-update right-hand side, fused (consumes the gathered operands).
+    """z-update right-hand side, fused.
 
-    ``out = -lam3_g + lam4 + rho*slack_g + rho*flow_g`` in that order;
-    ``slack_g`` and ``flow_g`` are scaled in place (they are scratch
-    gathers of ``(c - s3)`` and ``F*d``).
+    ``out = -lam3_g + lam4 + rho*slack_g + rho*flow_g`` in that order.
+    ``slack_g`` (a scratch gather of ``c - s3``) is clobbered: it holds
+    ``rho*slack_g`` and then ``rho*flow_g``. ``flow_g`` (the ``F*d``
+    gather) is only read, so the dual step can reuse it.
     """
     np.negative(lam3_g, out=out)
     out += lam4
     slack_g *= rho
     out += slack_g
-    flow_g *= rho
-    out += flow_g
+    np.multiply(flow_g, rho, out=slack_g)
+    out += slack_g
     return out
 
 
@@ -586,7 +651,7 @@ KERNEL_CONTRACTS: dict[str, KernelContract] = {
     "admm_z_rhs_into": KernelContract(
         params=("lam3_g", "lam4", "slack_g", "flow_g", "rho", "out"),
         writes=("out",),
-        inout=("slack_g", "flow_g"),
+        scratch=("slack_g",),
         may_alias=(("lam3_g", "out"),),
     ),
     "admm_z_solve_into": KernelContract(

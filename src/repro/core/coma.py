@@ -110,17 +110,16 @@ class DecomposableReward:
         else:
             self.path_values = objective.path_values(pathset)
 
-        coo = pathset.edge_path_incidence.tocoo()
-        self.pair_path = coo.col.astype(np.int64)
-        self.pair_edge = coo.row.astype(np.int64)
+        self.pair_path = pathset.pair_path
+        self.pair_edge = pathset.pair_edge
         self.pair_demand = pathset.path_demand[self.pair_path]
         # Group pairs sharing a (demand, edge) key so a demand's multiple
         # paths crossing one edge pool their contribution.
         keys = self.pair_demand * pathset.topology.num_edges + self.pair_edge
         _, self.key_inverse = np.unique(keys, return_inverse=True)
         self.num_keys = int(self.key_inverse.max()) + 1 if len(keys) else 0
-        # Tiled-index segment ops so a (T, ...) stack runs the identical
-        # flat primitives as the per-TM path (see core.batching).
+        # Segment operators reduce each row of a (T, ...) stack exactly
+        # as the per-TM bincount/maximum.at path does (see core.batching).
         self._key_ops = SegmentOps(self.key_inverse, self.num_keys)
         self._path_ops = SegmentOps(self.pair_path, pathset.num_paths)
         self._demand_ops = SegmentOps(pathset.path_demand, pathset.num_demands)
@@ -197,8 +196,8 @@ class DecomposableReward:
         """(T, D) per-demand counterfactual values over a minibatch.
 
         The batched analogue of :meth:`demand_values`: every array gains a
-        leading (T,) axis and the segment reductions run over tiled
-        indices, so row ``t`` reproduces the per-TM result bit for bit.
+        leading (T,) axis and the segment operators reduce row by row,
+        so row ``t`` reproduces the per-TM result bit for bit.
 
         Args:
             base_flows: (T, P) intended flows of the joint actions.

@@ -682,7 +682,6 @@ def run_failure_sweep(
     matrices: list[TrafficMatrix] | None = None,
     objective: Objective | None = None,
     cell_batch: int = 0,
-    workspace=None,
 ) -> dict:
     """Offline comparison across several capacity states in one batch.
 
@@ -700,7 +699,7 @@ def run_failure_sweep(
     (the unbatched reference the cell-batching benchmarks compare
     against). Every chunk builds its stacks through the *identical*
     ``np.tile``/``np.repeat`` recipe, and the batched kernels are
-    row-identical across batch sizes (per-row matmuls, per-row tiled
+    row-identical across batch sizes (per-row matmuls, per-row
     segment reductions), so every ``cell_batch`` setting returns
     bit-identical results — the chunk size only trades peak stack
     memory against per-call overhead.
@@ -714,9 +713,6 @@ def run_failure_sweep(
         objective: Objective whose raw value is also recorded.
         cell_batch: Maximum capacity states per stacked invocation
             (0 = all at once, 1 = per-cell loop).
-        workspace: Optional shared :class:`~repro.core.batching.Workspace`
-            for the evaluation scratch (see
-            :func:`~repro.simulation.evaluator.evaluate_allocations_batch`).
 
     Returns:
         Mapping sweep key -> (mapping scheme name -> :class:`SchemeRun`),
@@ -755,8 +751,7 @@ def run_failure_sweep(
             )
             ratios_all = np.stack([a.split_ratios for a in allocations])
             batch_report = evaluate_allocations_batch(
-                scenario.pathset, ratios_all, demands_all, caps_all,
-                workspace=workspace,
+                scenario.pathset, ratios_all, demands_all, caps_all
             )
             values = _objective_values(
                 objective, scenario.pathset, batch_report, ratios_all,

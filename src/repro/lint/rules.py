@@ -34,8 +34,10 @@ The four rules and the invariants they guard:
   :class:`~repro.core.batching.Workspace` in :mod:`repro.core.batching`,
   so hot-path arithmetic has one place where its op order and buffers
   are spelled out. A direct
-  ``np.matmul`` / ``np.einsum`` / ``@`` — or a raw
-  ``np.empty``/``np.zeros`` allocation — in a hot-path module is a
+  ``np.matmul`` / ``np.einsum`` / ``@``, a raw
+  ``np.empty``/``np.zeros`` allocation, or a segment reduction
+  (``np.bincount``, ``np.maximum.at`` / ``np.add.at``; these belong in
+  :class:`~repro.core.batching.SegmentOps`) in a hot-path module is a
   second such place.
 """
 
@@ -125,11 +127,12 @@ RULES: dict[str, Rule] = {
             id="RL004",
             title="hot-path tensor ops must go through core/batching.py",
             rationale=(
-                "direct np.matmul/np.einsum/@/.dot calls and raw "
-                "np.empty/np.zeros allocations in hot-path modules bypass "
-                "the fused-kernel seam (repro.core.batching) that fixes "
-                "op order and owns scratch buffers; route through its "
-                "kernels or Workspace.buffer."
+                "direct np.matmul/np.einsum/@/.dot calls, raw "
+                "np.empty/np.zeros allocations and np.bincount/np.<ufunc>.at "
+                "segment reductions in hot-path modules bypass the "
+                "fused-kernel seam (repro.core.batching) that fixes op "
+                "order and owns scratch buffers; route through its "
+                "kernels, SegmentOps or Workspace.buffer."
             ),
             scope="hot-path modules (see HOT_PATH_MODULES)",
         ),

@@ -355,10 +355,15 @@ class DeterminismVisitor(_RuleVisitor):
         self.generic_visit(node)
 
 
+def _is_numpy(node: ast.expr) -> bool:
+    return isinstance(node, ast.Name) and node.id in ("np", "numpy")
+
+
 class DispatchSeamVisitor(_RuleVisitor):
-    """RL004: direct matmul/einsum/@/.dot or raw np.empty/np.zeros in
-    hot-path modules (the seam module itself, core/batching.py, is
-    exempted by :func:`in_hot_path`)."""
+    """RL004: direct matmul/einsum/@/.dot, raw np.empty/np.zeros, or a
+    segment reduction (np.bincount, np.<ufunc>.at) in hot-path modules
+    (the seam module itself, core/batching.py, is exempted by
+    :func:`in_hot_path`)."""
 
     rule = "RL004"
 
@@ -383,28 +388,39 @@ class DispatchSeamVisitor(_RuleVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         if isinstance(func, ast.Attribute):
-            if (
-                func.attr in ("matmul", "einsum")
-                and isinstance(func.value, ast.Name)
-                and func.value.id in ("np", "numpy")
-            ):
+            if func.attr in ("matmul", "einsum") and _is_numpy(func.value):
                 self.add(
                     node,
                     f"np.{func.attr} in a hot-path module bypasses the "
                     "fused-kernel dispatch seam; route through a "
                     "core/batching kernel",
                 )
-            elif (
-                func.attr in self._RAW_ALLOCATORS
-                and isinstance(func.value, ast.Name)
-                and func.value.id in ("np", "numpy")
-            ):
+            elif func.attr in self._RAW_ALLOCATORS and _is_numpy(func.value):
                 self.add(
                     node,
                     f"np.{func.attr} in a hot-path module allocates a "
                     "buffer outside the fused-kernel seam; use "
                     "Workspace.buffer (repro.core.batching) so repeated "
                     "calls reuse it",
+                )
+            elif func.attr == "bincount" and _is_numpy(func.value):
+                self.add(
+                    node,
+                    "np.bincount in a hot-path module is a segment sum "
+                    "outside the fused-kernel seam; use SegmentOps.sum "
+                    "(repro.core.batching), built once per index map",
+                )
+            elif (
+                func.attr == "at"
+                and isinstance(func.value, ast.Attribute)
+                and _is_numpy(func.value.value)
+            ):
+                self.add(
+                    node,
+                    f"np.{func.value.attr}.at in a hot-path module is an "
+                    "unbuffered scatter outside the fused-kernel seam; "
+                    "use SegmentOps (repro.core.batching), built once "
+                    "per index map",
                 )
             elif func.attr == "dot":
                 self.add(

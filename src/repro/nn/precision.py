@@ -22,10 +22,11 @@ Policy defaults:
   benchmark topologies (verified by ``benchmarks/bench_precision.py``
   and ``tests/test_precision.py``) at a measurably lower cost.
 - **Reductions accumulate in float64** regardless of storage dtype:
-  segment sums run through ``np.bincount`` (a float64 accumulator), and
-  the ADMM acceptance check scores allocations through the float64
-  evaluator — so float32 storage never degrades the *decisions* made
-  about an allocation, only the arithmetic inside it.
+  segment sums run through ``SegmentOps.sum`` (a float64 CSR mat-vec
+  that adds in ``np.bincount``'s order), and the ADMM acceptance check
+  scores allocations through the float64 evaluator — so float32
+  storage never degrades the *decisions* made about an allocation,
+  only the arithmetic inside it.
 """
 
 from __future__ import annotations
@@ -70,10 +71,10 @@ class Precision:
     def accumulate_dtype(self) -> np.dtype:
         """Dtype of segment reductions and acceptance/residual checks.
 
-        Always float64: ``np.bincount`` accumulates in double whatever
-        the weights' storage dtype, and the objective/acceptance scoring
-        runs through the float64 evaluator — documented behaviour the
-        parity tests rely on.
+        Always float64: ``SegmentOps.sum`` accumulates in double
+        whatever the weights' storage dtype, and the objective/acceptance
+        scoring runs through the float64 evaluator — documented
+        behaviour the parity tests rely on.
         """
         return np.dtype(np.float64)
 

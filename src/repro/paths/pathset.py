@@ -78,6 +78,13 @@ class PathSet:
         demand_path_ids: (D, k) int array of path ids, -1 padded.
         path_mask: (D, k) bool array; True where a real path exists.
         edge_path_incidence: (E, P) CSR incidence matrix.
+        pair_edge: (I,) edge of each (edge, path) incidence pair, in
+            edge-major order (sorted; the COO order of the CSR matrix).
+        pair_path: (I,) path of each incidence pair, same order.
+        path_edge_grid: (L, P) edge ids in path-major order: column p
+            lists path p's edges (ascending), then repeats its last edge
+            up to the longest path's L hops. A per-path maximum over
+            edges is L elementwise maxima over its rows.
         path_hop_counts: (P,) number of edges on each path.
         path_latencies: (P,) total latency of each path.
     """
@@ -139,6 +146,17 @@ class PathSet:
         self.path_hop_counts = np.array(
             [len(e) for e in self.path_edge_ids], dtype=np.int64
         )
+        coo = self.edge_path_incidence.tocoo()
+        self.pair_edge = coo.row.astype(np.int64)
+        self.pair_path = coo.col.astype(np.int64)
+        # Path-major order: each path's pairs contiguous, in edge order.
+        path_edges = self.pair_edge[np.argsort(self.pair_path, kind="stable")]
+        starts = np.cumsum(self.path_hop_counts) - self.path_hop_counts
+        longest = int(self.path_hop_counts.max(initial=1))
+        steps = np.minimum(
+            np.arange(longest)[:, None], self.path_hop_counts[None, :] - 1
+        )
+        self.path_edge_grid = path_edges[starts[None, :] + steps]
         self.path_latencies = np.array(
             [
                 path_cost(topology, nodes, topology.latencies)

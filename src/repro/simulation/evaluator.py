@@ -151,54 +151,21 @@ class FlowReport:
     intended_mlu: float
 
 
-def path_bottleneck_utilization(
-    pathset: PathSet, intended_flows: np.ndarray, capacities: np.ndarray
-) -> np.ndarray:
-    """Max utilization along each path given intended (pre-drop) flows.
-
-    Paths that traverse a zero-capacity link while carrying flow get
-    infinite utilization (their traffic is fully dropped); zero-capacity
-    links with zero load contribute nothing.
-    """
-    loads = pathset.edge_loads(intended_flows)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        util = np.where(
-            capacities > 0,
-            loads / np.maximum(capacities, 1e-300),
-            np.where(loads > 0, _INFINITE_UTILIZATION, 0.0),
-        )
-    incidence = pathset.edge_path_incidence.tocsc()
-    bottleneck = np.zeros(pathset.num_paths)
-    for p in range(pathset.num_paths):
-        edges = incidence.indices[incidence.indptr[p] : incidence.indptr[p + 1]]
-        if edges.size:
-            bottleneck[p] = util[edges].max()
-    return bottleneck
-
-
-def _path_max_utilization_batch(
-    pathset: PathSet, util: np.ndarray, workspace=None
-) -> np.ndarray:
+def _path_max_utilization_batch(pathset: PathSet, util: np.ndarray) -> np.ndarray:
     """Per-path bottleneck utilizations (T, P) from per-edge utils (T, E).
 
-    One unbuffered scatter-max over the COO expansion covers the whole
-    batch: the path axis leads so ``maximum.at`` broadcasts each edge's
-    (T,) utilization column into the path rows it lies on. With a
-    ``workspace`` the (P, T) scatter buffer is reused (zero-filled)
-    across calls instead of reallocated — the buffer is internal to
-    this function, so workspace reuse never aliases returned arrays.
+    Folds ``pathset.path_edge_grid`` row by row: row j gathers every
+    path's j-th edge (short paths repeat their last one), and one
+    elementwise maximum takes it in. Starting from 0.0 and taking each
+    path's edges in ascending order, the fold is the same left fold an
+    ``np.maximum.at`` over the incidence pairs into zeros computes, bit
+    for bit; it needs no scratch buffer and no sparse conversion.
     """
-    coo = pathset.edge_path_incidence.tocoo()
-    shape = (pathset.num_paths, util.shape[0])
-    if workspace is None:
-        bottleneck = np.zeros(shape)
-    else:
-        bottleneck = workspace.buffer(("evaluator", "bottleneck"), shape, np.float64)
-        bottleneck[...] = 0.0
-    np.maximum.at(bottleneck, coo.col, util.T[coo.row])
-    # A view: the single caller consumes it before its next request, and
-    # the downstream scale/delivered arrays are fresh allocations.
-    return bottleneck.T
+    grid = pathset.path_edge_grid
+    bottleneck = np.maximum(0.0, np.take(util, grid[0], axis=1))
+    for edges in grid[1:]:
+        np.maximum(bottleneck, np.take(util, edges, axis=1), out=bottleneck)
+    return bottleneck
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
@@ -270,14 +237,13 @@ def evaluate_allocations_batch(
     split_ratios: np.ndarray,
     demands: np.ndarray,
     capacities: np.ndarray | None = None,
-    workspace=None,
 ) -> BatchFlowReport:
     """Evaluate a stack of allocations against a stack of traffic matrices.
 
     The vectorized core of the scenario engine: T traffic matrices are
     scored in a handful of array ops — two sparse products for edge loads,
-    one scatter-max for path bottlenecks — instead of a Python loop per
-    matrix. Semantics are identical to :func:`evaluate_allocation` applied
+    one hop-by-hop maximum fold for path bottlenecks — instead of a
+    Python loop per matrix. Semantics are identical to :func:`evaluate_allocation` applied
     row by row (the per-TM function is a batch-of-one wrapper).
 
     Args:
@@ -287,12 +253,6 @@ def evaluate_allocations_batch(
         demands: (T, D) demand volumes.
         capacities: (E,) shared capacities, (T, E) per-matrix capacities
             (failure sweeps), or None for the topology defaults.
-        workspace: Optional :class:`~repro.core.batching.Workspace` for
-            the internal scatter-max scratch; sweeps that score many
-            stacks in a row (one per grid cell or chunk) pass a shared
-            per-job workspace so scoring stops re-allocating. Results
-            are unaffected: every returned array is freshly computed,
-            never a workspace view.
 
     Returns:
         A :class:`BatchFlowReport` (empty arrays for T = 0).
@@ -324,7 +284,7 @@ def evaluate_allocations_batch(
             pre_loads / np.maximum(capacities, 1e-300),
             np.where(pre_loads > 0, _INFINITE_UTILIZATION, 0.0),
         )
-    bottleneck = _path_max_utilization_batch(pathset, util, workspace)
+    bottleneck = _path_max_utilization_batch(pathset, util)
     scale = 1.0 / np.maximum(bottleneck, 1.0)
     scale[~np.isfinite(scale)] = 0.0
     delivered = intended * scale

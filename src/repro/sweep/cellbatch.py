@@ -43,8 +43,8 @@ through the identical ``np.tile``/``np.repeat`` construction recipe
 (the PR-6 lesson — value-equal stacks built differently perturb numpy
 reductions by 1 ulp), and the batched kernels are row-identical across
 batch sizes: batched matmuls run one fixed-shape GEMM per batch
-element, CSR aggregation loops batch rows, and the tiled segment
-primitives accumulate each segment in the original order.
+element, CSR aggregation loops batch rows, and the segment
+operators reduce each row on its own, in the original element order.
 ``tests/test_scenario_grid.py`` pins this on B4/SWAN at float32 and
 float64.
 """

@@ -379,12 +379,9 @@ def _run_topology_job(
     checkpoint cache instead of retraining. ``cell_batch`` bounds how
     many of the job's failure levels fuse into one stacked kernel
     invocation (see :mod:`repro.sweep.cellbatch`); every value is
-    bit-identical. One evaluation :class:`~repro.core.batching.Workspace`
-    is shared across all of the job's cells and chunks, so scratch
-    buffers are sized once per job instead of churning per cell.
+    bit-identical.
     """
     from .. import harness
-    from ..core.batching import Workspace
     from ..lp.objectives import get_objective
     from ..topology.failures import sample_link_failures
 
@@ -441,8 +438,6 @@ def _run_topology_job(
 
     start = time.perf_counter()
     cells: list[GridCell] = []
-    # One evaluation workspace serves every cell and chunk of the job.
-    workspace = Workspace()
     if suite.mode == "offline":
         sweep = harness.run_failure_sweep(
             scenario,
@@ -450,7 +445,6 @@ def _run_topology_job(
             capacity_sets,
             objective=objective,
             cell_batch=cell_batch,
-            workspace=workspace,
         )
         for count in suite.failure_counts:
             for name in suite.schemes:

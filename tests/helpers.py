@@ -54,3 +54,51 @@ def scatter_add_reference(
         grad.reshape(count, flat.size, features)[:, keep],
     )
     return acc
+
+
+def segment_sum_reference(
+    index: np.ndarray, weights: np.ndarray, num_segments: int
+) -> np.ndarray:
+    """Per-row ``np.bincount`` of (T, N) weights: the (T, S) segment sums
+    ``SegmentOps.sum`` must reproduce bit for bit."""
+    weights = np.asarray(weights)
+    out = np.zeros((weights.shape[0], num_segments))
+    for total, row in zip(out, weights):
+        total[...] = np.bincount(index, weights=row, minlength=num_segments)
+    return out
+
+
+def segment_max_reference(
+    index: np.ndarray,
+    values: np.ndarray,
+    num_segments: int,
+    initial: float = 0.0,
+    dtype=None,
+) -> np.ndarray:
+    """Per-row ``np.maximum.at`` of (T, N) values into a buffer filled with
+    ``initial``: the (T, S) segment maxima ``SegmentOps.max`` replaces."""
+    values = np.asarray(values)
+    out = np.full(
+        (values.shape[0], num_segments),
+        initial,
+        dtype=values.dtype if dtype is None else dtype,
+    )
+    with np.errstate(invalid="ignore"):
+        for best, row in zip(out, values):
+            np.maximum.at(best, index, row)
+    return out
+
+
+def segment_expand_reference(index: np.ndarray, per_segment: np.ndarray) -> np.ndarray:
+    """``np.take`` of (T, S) per-segment values back to (T, N) elements."""
+    return np.take(per_segment, index, axis=-1)
+
+
+def path_max_reference(pathset, util: np.ndarray) -> np.ndarray:
+    """(T, P) per-path maxima of (T, E) edge values by one ``np.maximum.at``
+    over the incidence's COO pairs into zeros (the evaluator's former
+    bottleneck scatter)."""
+    coo = pathset.edge_path_incidence.tocoo()
+    bottleneck = np.zeros((pathset.num_paths, util.shape[0]))
+    np.maximum.at(bottleneck, coo.col, util.T[coo.row])
+    return bottleneck.T

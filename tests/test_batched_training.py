@@ -2,7 +2,7 @@
 regression tests for the training-loop correctness fixes.
 
 Every batched path introduced by the batched-training PR must reproduce
-its per-TM counterpart to 1e-8 (the ADMM tiling is bit-exact by
+its per-TM counterpart to 1e-8 (the ADMM segment operators are bit-exact by
 construction; the trainers go through the batched forward, which agrees
 to float tolerance): direct-loss losses *and gradients*, the COMA*
 advantage/per-step loss under fixed action samples, and
@@ -94,10 +94,6 @@ class TestSegmentOps:
         ops = SegmentOps(np.array([0, 0, 2]), 4)
         out = ops.max(np.array([[1.0, 2.0, 3.0]]), initial=-1.0)
         assert np.array_equal(out[0], [2.0, -1.0, 3.0, -1.0])
-
-    def test_tiled_index_cached(self):
-        ops = SegmentOps(np.array([0, 1]), 2)
-        assert ops.tiled_index(3) is ops.tiled_index(3)
 
 
 class TestBatchedDirectLoss:

@@ -273,6 +273,41 @@ def test_rl004_flags_raw_allocations_in_hot_path(tmp_path):
     assert {f.line for f in findings} == {5, 6}
 
 
+def test_rl004_flags_segment_reductions_in_hot_path(tmp_path):
+    _write_module(
+        tmp_path,
+        "repro/simulation/evaluator.py",
+        """
+        import numpy as np
+
+        def f(out, index, values, ops, counts):
+            np.maximum.at(out, index, values)                # positive
+            np.add.at(out, index, values)                    # positive
+            s = np.bincount(index, weights=values)           # positive
+            m = ops.max(values)                              # negative: SegmentOps
+            t = ops.sum(values)                              # negative: SegmentOps
+            r = np.repeat(values, counts)                    # negative: a gather
+            g = counts.at                                    # negative: no call
+            return s, m, t, r, g
+        """,
+    )
+    findings = [f for f in _lint(tmp_path) if f.rule == "RL004"]
+    assert {f.line for f in findings} == {5, 6, 7}
+
+
+def test_rl004_allows_segment_reductions_outside_hot_path(tmp_path):
+    source = """
+        import numpy as np
+
+        def f(out, index, values):
+            np.maximum.at(out, index, values)
+            return np.bincount(index)
+        """
+    _write_module(tmp_path, "repro/core/coma.py", source)
+    _write_module(tmp_path, "repro/core/batching.py", source)
+    assert "RL004" not in _rules_hit(tmp_path)
+
+
 # ----------------------------------------------------------------------
 # Baseline round-trip
 # ----------------------------------------------------------------------
